@@ -69,7 +69,7 @@ def assert_result_equal(got, want, context):
 def run_bench(n_users: int, seed: int) -> dict:
     from repro.core import JobResidencyIndex
     from repro.emulation import replay_bounds
-    from repro.server.admin import _tail_stats
+    from repro.server.metrics import tail_stats
     from repro.server.metrics import MetricsHistory, render_prometheus
     from repro.server.ingest import (DEFAULT_BATCH_EVENTS,
                                      NetworkEventStream, SocketListener,
@@ -216,7 +216,7 @@ def run_bench(n_users: int, seed: int) -> dict:
             elapsed = time.perf_counter() - t0
             for t in threads:
                 t.join()
-            decode = _tail_stats(listener.decode_seconds)
+            decode = tail_stats(listener.decode_seconds)
             listener.close()
         assert fleet.cursor == n_events, (fleet.cursor, n_events)
         assert stream.quarantine.total == 0, stream.quarantine.summary()
@@ -252,7 +252,7 @@ def run_bench(n_users: int, seed: int) -> dict:
                 row["bit_identical_to_file"] = True
                 if binary:
                     extras["decode_latency"] = decode
-                    extras["trigger_latency"] = _tail_stats(
+                    extras["trigger_latency"] = tail_stats(
                         [s for t in fleet.tenants
                          for s in t.trigger_latency_log])
             rows[str(n_producers)] = row
@@ -325,7 +325,7 @@ def run_bench(n_users: int, seed: int) -> dict:
         listener.close()
     assert rows_seen == n_events, (rows_seen, n_events)
     assert stream.quarantine.total == 0, stream.quarantine.summary()
-    recovery = _tail_stats(stats.get("recovery_seconds", []))
+    recovery = tail_stats(stats.get("recovery_seconds", []))
     chaos_row = {
         "seq_overhead": {
             "noseq_seconds": round(noseq_seconds, 3),
@@ -412,7 +412,7 @@ def run_bench(n_users: int, seed: int) -> dict:
             "history_samples_rewound_on_resume": samples_rewound,
             "history_samples_final": history.seq,
             "exposition_bytes": len(text),
-            "exposition_render": _tail_stats(render_times),
+            "exposition_render": tail_stats(render_times),
         }
         history.close()
     assert resumed.cursor == n_events, (resumed.cursor, n_events)

@@ -2,12 +2,13 @@
 
 Measures, on one seeded dataset:
 
-* merged-stream ingest throughput (events/sec) of the
-  ``OnlineRetentionService`` end to end, per policy of the retention
-  spectrum, against the batch ``FastEmulator`` wall time over the same
-  trace;
-* per-trigger latency (the incremental activeness evaluation plus the
-  policy purge scan) and the refold fraction -- the share of user-type
+* merged-stream ingest throughput (events/sec) of the streaming engine
+  (a one-tenant ``MultiTenantService``, as ``serve --policy`` runs it)
+  end to end, per policy of the retention spectrum, against the batch
+  ``FastEmulator`` wall time over the same trace;
+* per-trigger latency (the tenant's purge trigger; the incremental
+  activeness evaluation before it is shared by all tenants and not
+  included) and the refold fraction -- the share of user-type
   histories a trigger actually refolds, the O(delta) claim in numbers;
 * a checkpoint / kill / resume cycle: wall time to checkpoint, to
   resume, and to finish from mid-trace.
@@ -52,13 +53,12 @@ def assert_results_equal(streamed, batch, context):
 
 
 def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
-    from repro.core import (ActiveDRPolicy, FixedLifetimePolicy,
-                            JobResidencyIndex, RetentionConfig,
-                            ScratchAsCachePolicy, ValueBasedPolicy)
+    from repro.core import JobResidencyIndex
     from repro.emulation import (EmulatorConfig, FastEmulator,
                                  compile_dataset, replay_bounds)
-    from repro.stream import (CheckpointManager, OnlineRetentionService,
-                              dataset_event_stream, skip_events)
+    from repro.server import MultiTenantService, TenantSpec
+    from repro.stream import (CheckpointManager, dataset_event_stream,
+                              skip_events)
     from repro.synth import TitanConfig, generate_dataset
 
     t0 = time.perf_counter()
@@ -66,13 +66,12 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
     generate_seconds = time.perf_counter() - t0
 
     residency = JobResidencyIndex(dataset.jobs)
-    policies = {
-        "FLT": lambda cfg: FixedLifetimePolicy(cfg),
-        "ActiveDR": lambda cfg: ActiveDRPolicy(cfg),
-        "ValueBased": lambda cfg: ValueBasedPolicy(cfg),
-        "ScratchAsCache": lambda cfg: ScratchAsCachePolicy(
-            cfg, residency=residency),
-    }
+    specs = {name: TenantSpec(name=kind, policy=kind) for name, kind in (
+        ("FLT", "flt"), ("ActiveDR", "activedr"), ("ValueBased", "value"),
+        ("ScratchAsCache", "cache"))}
+
+    def build(spec):
+        return spec.build_policy(residency=residency)
 
     compiled = compile_dataset(dataset)
     events = list(dataset_event_stream(dataset))
@@ -80,38 +79,44 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
     known = [u.uid for u in dataset.users]
     start, end = replay_bounds(dataset)
 
-    def make_service(policy_factory, **kwargs):
-        config = RetentionConfig()
-        return OnlineRetentionService(
-            policy_factory(config), snapshot_fs=dataset.filesystem,
+    def make_service(spec, **kwargs):
+        return MultiTenantService(
+            [(spec, build(spec))], snapshot_fs=dataset.filesystem,
             replay_start=start, replay_end=end,
-            activeness_params=config.activeness,
-            config=EmulatorConfig(), known_uids=known, **kwargs)
+            config=EmulatorConfig(), known_uids=known,
+            policy_factory=build, **kwargs)
+
+    def run_one(service, stream):
+        results = service.run(stream)
+        return None if results is None else results[service.tenants[0].name]
+
+    def batch_of(spec):
+        return FastEmulator(build(spec), spec.retention_config().activeness,
+                            EmulatorConfig()).run(compiled, known_uids=known)
 
     per_policy = {}
-    for name, policy_factory in policies.items():
-        config = RetentionConfig()
+    for name, spec in specs.items():
         t0 = time.perf_counter()
-        batch = FastEmulator(policy_factory(config), config.activeness,
-                             EmulatorConfig()).run(compiled,
-                                                   known_uids=known)
+        batch = batch_of(spec)
         batch_seconds = time.perf_counter() - t0
 
-        service = make_service(policy_factory)
+        service = make_service(spec)
         t0 = time.perf_counter()
-        streamed = service.run(iter(events))
+        streamed = run_one(service, iter(events))
         stream_seconds = time.perf_counter() - t0
         assert_results_equal(streamed, batch, name)
 
         stats = service.stats
+        tenant_stats = service.tenants[0].stats
+        triggers = tenant_stats["triggers"]
         per_policy[name] = {
             "batch_seconds": round(batch_seconds, 3),
             "stream_seconds": round(stream_seconds, 3),
             "events_per_sec": round(n_events / stream_seconds),
             "stream_vs_batch": round(stream_seconds / batch_seconds, 2),
-            "triggers": stats["triggers"],
+            "triggers": triggers,
             "trigger_latency_ms": round(
-                1e3 * stats["trigger_seconds"] / max(1, stats["triggers"]),
+                1e3 * tenant_stats["trigger_seconds"] / max(1, triggers),
                 3),
             "refold_fraction": round(
                 stats["eval_refolded"] / max(1, stats["eval_users"]), 4),
@@ -131,9 +136,9 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
         def best_of(make_events, repeats=3):
             best, result = None, None
             for _ in range(repeats):
-                service = make_service(policies["ActiveDR"])
+                service = make_service(specs["ActiveDR"])
                 t0 = time.perf_counter()
-                result = service.run(make_events())
+                result = run_one(service, make_events())
                 elapsed = time.perf_counter() - t0
                 best = elapsed if best is None else min(best, elapsed)
             return best, result
@@ -161,7 +166,7 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
     # Checkpoint / kill / resume cycle under ActiveDR.
     kill_at = int(n_events * kill_fraction)
     with tempfile.TemporaryDirectory() as ckdir:
-        service = make_service(policies["ActiveDR"], checkpoint_dir=ckdir,
+        service = make_service(specs["ActiveDR"], checkpoint_dir=ckdir,
                                checkpoint_every_days=7)
         t0 = time.perf_counter()
         interrupted = service.run(iter(events), stop_after_events=kill_at)
@@ -171,23 +176,23 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
         checkpoint_bytes = os.path.getsize(
             CheckpointManager(ckdir).latest())
 
-        config = RetentionConfig()
         t0 = time.perf_counter()
-        resumed = OnlineRetentionService.resume(
-            CheckpointManager(ckdir).latest(),
-            policies["ActiveDR"](config),
-            activeness_params=config.activeness, config=EmulatorConfig())
+        resumed = MultiTenantService.resume(
+            CheckpointManager(ckdir).latest(), policy_factory=build,
+            config=EmulatorConfig())
         resume_seconds = time.perf_counter() - t0
         cursor = resumed.cursor
 
         t0 = time.perf_counter()
-        streamed = resumed.run(skip_events(iter(events), cursor))
+        streamed = run_one(resumed, skip_events(iter(events), cursor))
         second_leg_seconds = time.perf_counter() - t0
 
-    config = RetentionConfig()
-    batch = FastEmulator(policies["ActiveDR"](config), config.activeness,
-                         EmulatorConfig()).run(compiled, known_uids=known)
-    assert_results_equal(streamed, batch, "resume")
+    assert_results_equal(streamed, batch_of(specs["ActiveDR"]), "resume")
+    # Counters continue across the kill: no event counted twice.
+    assert resumed.cursor == n_events
+    assert resumed.stats["events_job"] == len(dataset.jobs)
+    assert resumed.stats["events_publication"] == len(dataset.publications)
+    assert resumed.stats["events_access"] == len(dataset.accesses)
 
     return {
         "benchmark": "stream_ingest",

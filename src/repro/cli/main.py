@@ -57,9 +57,12 @@ policies share one compiled trace and one activeness evaluation per
 trigger instead of redoing that work per policy.  ``sweep --spectrum``
 adds the two baselines' miss columns to the lifetime table.
 
-``serve`` runs the *online* retention service: the workspace's traces
-are merged into one time-ordered event stream and consumed record by
-record, with incremental activeness state and crash-safe checkpoints
+``serve`` runs the *online* retention service, one streaming engine
+(``repro.server.MultiTenantService``) in every mode: ``--policy``
+alone is a one-tenant fleet, each ``--tenant`` adds a policy
+configuration.  By default the workspace's traces are merged into one
+time-ordered event stream and consumed record by record, with
+incremental activeness state and crash-safe checkpoints
 (``--checkpoint-dir``).  Ingestion goes through the reliability layer
 (``repro.stream.reliability``): failing sources are retried with
 backoff, malformed or disordered events are quarantined to a
@@ -67,17 +70,18 @@ dead-letter file, and checkpoints form a self-verifying chain of the
 last ``--checkpoint-retain`` links.  Kill it mid-run, then ``serve
 --resume`` rolls back to the newest checkpoint that passes digest
 verification (exit code 3 when none does) and finishes with results
-bit-identical to ``replay --engine fast``.  ``--fault-plan`` injects
-scripted ingest/checkpoint faults for chaos testing.
+bit-identical to ``replay --engine fast`` (a one-tenant file-fed run
+prints the same summary, without a tenant header).  ``--fault-plan``
+injects scripted ingest/checkpoint faults for chaos testing.
 
-With ``--listen`` (or any ``--tenant``) ``serve`` becomes the
-*networked multi-tenant server*: events arrive from concurrent
-``publish`` producers over a TCP or Unix socket instead of local files,
-any number of ``--tenant name=...,policy=...`` configurations share one
-event feed and one activeness state (evaluated once per trigger, not
-once per tenant), and ``--admin`` opens a query plane that ``admin``
-interrogates (``status``/``health``/``tenants``/``metrics``/``query``)
-while ingestion is running.  The engine appends an observability sample
+With ``--listen`` ``serve`` becomes the *networked server*: events
+arrive from concurrent ``publish`` producers over a TCP or Unix socket
+instead of local files.  Any number of ``--tenant name=...,policy=...``
+configurations share one event feed and one activeness state (evaluated
+once per trigger, not once per tenant).  In every mode ``--admin``
+opens a query plane that ``admin`` interrogates
+(``status``/``health``/``tenants``/``metrics``/``query``) while
+ingestion is running.  The engine appends an observability sample
 to a rotating metrics-history ring at every day boundary
 (``--metrics-history``, defaulting into ``--checkpoint-dir``); ``admin
 metrics --history N`` returns the newest samples, ``admin export
@@ -275,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SPEC",
                      help="add a tenant: name=ID[,policy=K][,lifetime=D]"
                           "[,target=U][,trigger=D][,period=D]; repeatable. "
-                          "Any --tenant (or --listen) switches serve to "
-                          "the multi-tenant server")
+                          "Replaces the single tenant that --policy/"
+                          "--lifetime/--target describe")
     srv.add_argument("--expect-producers", default="1",
                      help="producers that must publish each source before "
                           "it is complete (--listen mode): a count "
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rotating JSONL ring of per-boundary "
                           "observability samples (default: "
                           "metrics-history.jsonl in --checkpoint-dir, "
-                          "if set; multi-tenant serve only)")
+                          "if set)")
     srv.add_argument("--tls-cert", default=None, metavar="PEM",
                      help="serve the ingest socket over TLS with this "
                           "certificate (PEM; may include the key)")
@@ -684,129 +688,6 @@ def _serve_reliability_report(stream) -> None:
     print(line, file=sys.stderr)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.shards:
-        return _cmd_serve_sharded(args)
-    if args.listen or args.tenant:
-        return _cmd_serve_fleet(args)
-    return _cmd_serve_single(args)
-
-
-def _cmd_serve_single(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from ..faults import FaultPlan, FaultyIO
-    from ..stream import (CheckpointCorruption, CheckpointManager,
-                          DeadLetterLog, OnlineRetentionService,
-                          ReliableEventStream, skip_events)
-    from ..traces import read_jobs, read_users
-    from ..vfs import load_filesystem
-
-    config = RetentionConfig(lifetime_days=args.lifetime,
-                             purge_target_utilization=args.target)
-    if args.policy == "flt":
-        policy = FixedLifetimePolicy(config)
-    elif args.policy == "activedr":
-        policy = ActiveDRPolicy(config)
-    elif args.policy == "value":
-        policy = ValueBasedPolicy(config)
-    else:  # cache: residency derives from the full job trace
-        jobs = list(read_jobs(os.path.join(args.workspace, "jobs.txt.gz")))
-        policy = ScratchAsCachePolicy(config,
-                                      residency=JobResidencyIndex(jobs))
-
-    plan = FaultPlan.from_json(args.fault_plan) if args.fault_plan else None
-    opener = None
-    if plan is not None and plan.has_target("checkpoint"):
-        def opener(path: str):
-            return FaultyIO(open(path, "wb"), plan, "checkpoint")
-
-    dead_letter_path = args.dead_letter
-    if dead_letter_path is None and args.checkpoint_dir:
-        dead_letter_path = os.path.join(args.checkpoint_dir,
-                                        "dead-letter.jsonl")
-    dead_letter = (DeadLetterLog(dead_letter_path)
-                   if dead_letter_path else None)
-    stream = ReliableEventStream(args.workspace, plan=plan,
-                                 dead_letter=dead_letter)
-    events = iter(stream)
-
-    manager = (CheckpointManager(args.checkpoint_dir,
-                                 retain=max(1, args.checkpoint_retain),
-                                 opener=opener)
-               if args.checkpoint_dir else None)
-
-    if args.resume:
-        if manager is None:
-            print("--resume requires --checkpoint-dir", file=sys.stderr)
-            return 1
-        newest, failures = manager.latest_verified()
-        for failed_path, reason in failures:
-            print(f"checkpoint {failed_path} failed verification: {reason}",
-                  file=sys.stderr)
-        if newest is None:
-            if not failures:
-                print(f"no checkpoint in {args.checkpoint_dir}",
-                      file=sys.stderr)
-                return 1
-            print(f"no checkpoint in {args.checkpoint_dir} verifies; "
-                  f"cannot resume.  Restore a checkpoint from backup or "
-                  f"start fresh without --resume.", file=sys.stderr)
-            return EXIT_CHECKPOINT_FAILURE
-        if failures:
-            print(f"rolling back to {newest}", file=sys.stderr)
-        try:
-            service = OnlineRetentionService.resume(
-                newest, policy,
-                checkpoint_every_days=args.checkpoint_every,
-                checkpoint_manager=manager)
-        except CheckpointCorruption as exc:
-            where = (f" (array {exc.array!r})"
-                     if exc.array is not None else "")
-            print(f"cannot resume from {newest}{where}: {exc.reason}",
-                  file=sys.stderr)
-            return EXIT_CHECKPOINT_FAILURE
-        events = skip_events(events, service.cursor)
-        print(f"resumed from {newest} at event {service.cursor}")
-    else:
-        with open(os.path.join(args.workspace, "meta.json")) as f:
-            meta = json.load(f)
-        fs = load_filesystem(os.path.join(args.workspace, "snapshot"),
-                             size_seed=int(meta.get("size_seed", 2021)),
-                             capacity_bytes=None)
-        known = [u.uid for u in read_users(
-            os.path.join(args.workspace, "users.txt.gz"))]
-        service = OnlineRetentionService(
-            policy, snapshot_fs=fs,
-            replay_start=int(meta["replay_start"]),
-            replay_end=int(meta["replay_end"]),
-            known_uids=known,
-            checkpoint_every_days=args.checkpoint_every,
-            checkpoint_manager=manager)
-
-    result = service.run(events, stop_after_events=args.stop_after_events)
-    stats = service.stats
-    _serve_reliability_report(stream)
-    if dead_letter is not None:
-        dead_letter.close()
-    if result is None:
-        where = (f"; checkpoint: {service.checkpoints.latest()}"
-                 if service.checkpoints else "")
-        print(f"stopped after {service.cursor} events "
-              f"({stats['triggers']} triggers so far){where}")
-        return 0
-    print(f"ingested {service.cursor} events "
-          f"(jobs={stats['events_job']} pubs={stats['events_publication']} "
-          f"accesses={stats['events_access']}, "
-          f"{service.dropped_accesses} out-of-window), "
-          f"{stats['triggers']} triggers, "
-          f"refolded {stats['eval_refolded']}/{stats['eval_users']} "
-          f"user-type histories")
-    print(render_emulation_summary(result))
-    return 0
-
-
 def _fleet_tenant_specs(args: argparse.Namespace):
     """The tenant fleet: explicit --tenant specs, or one from --policy."""
     from ..server import TenantSpec
@@ -841,6 +722,26 @@ def _fleet_policy_factory(workspace: str):
     return factory
 
 
+def _check_declared_tenants(specs, service) -> None:
+    """Refuse (``ValueError``) resumed tenants the command line contradicts.
+
+    The checkpoint is authoritative for the tenant set (runtime adds and
+    removes survive a restart), but a command line declaring a tenant
+    that the chain saved with other knobs -- or none of the chain's
+    tenants -- is resuming the wrong chain.
+    """
+    stored = {t.name: t.spec for t in service.tenants}
+    for spec in specs:
+        if spec.name in stored and stored[spec.name] != spec:
+            raise ValueError(f"tenant {spec.name!r} was checkpointed as "
+                             f"{stored[spec.name]}, the command line "
+                             f"declares {spec}")
+    if not any(spec.name in stored for spec in specs):
+        raise ValueError(f"the checkpoint holds tenants {sorted(stored)}, "
+                         f"none of the declared "
+                         f"{[spec.name for spec in specs]}")
+
+
 def _parse_expect_producers(value: str) -> dict[str, int]:
     """``"2"`` or ``"jobs=1,publications=1,accesses=2"`` to a mapping."""
     sources = ("jobs", "publications", "accesses")
@@ -857,7 +758,10 @@ def _parse_expect_producers(value: str) -> dict[str, int]:
     return expected
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.shards:
+        return _cmd_serve_sharded(args)
+
     import json
     import os
 
@@ -961,6 +865,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                     checkpoint_every_days=args.checkpoint_every,
                     checkpoint_manager=manager,
                     metrics_history=history)
+                _check_declared_tenants(specs, service)
             except (CheckpointCorruption, ValueError) as exc:
                 print(f"cannot resume from {newest}: {exc}",
                       file=sys.stderr)
@@ -1179,9 +1084,14 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
           f"{stats['activeness_evals']} activeness evaluations, "
           f"refolded {stats['eval_refolded']}/{stats['eval_users']} "
           f"user-type histories")
+    # File-fed ``serve --policy X`` prints the bare summary, so its
+    # output after the status lines diffs byte for byte against
+    # ``replay --policy X``; every tenant fleet gets per-tenant headers.
+    headers = bool(args.listen or args.tenant) or len(service.tenants) > 1
     for tenant in service.tenants:
-        print(f"=== tenant {tenant.name} "
-              f"[{tenant.spec.policy}] ===")
+        if headers:
+            print(f"=== tenant {tenant.name} "
+                  f"[{tenant.spec.policy}] ===")
         print(render_emulation_summary(results[tenant.name]))
     return 0
 

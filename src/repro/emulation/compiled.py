@@ -25,7 +25,7 @@ live/atime/size/owner column set, and :class:`TriggerEngine` holds the
 columnar purge triggers for the whole retention spectrum, parameterized
 by a *catalog* (paths, deterministic sizes, scan orders) rather than by
 ``CompiledTrace`` specifically.  The streaming
-:class:`~repro.stream.service.OnlineRetentionService` drives the same
+:class:`~repro.server.tenants.MultiTenantService` drives the same
 kernels from a dynamically growing catalog, which is how streaming stays
 bit-identical to batch.
 

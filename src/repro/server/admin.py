@@ -44,7 +44,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
 from .metrics import (Counter, MetricsHistory, render_prometheus,
                       tail_stats)
@@ -53,44 +53,26 @@ from .protocol import (FrameError, FrameReader, create_listener,
                        write_frame)
 from .tenants import MultiTenantService, TenantSpec
 
-__all__ = ["AdminServer", "admin_request", "scrape_metrics"]
+__all__ = ["AdminSocket", "AdminServer", "admin_request", "scrape_metrics"]
 
 #: Content type of the ``GET /metrics`` exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-def _tail_stats(samples: Iterable[float]) -> dict:
-    """Back-compat alias: the implementation moved to ``server.metrics``
-    so the engine's boundary sampler can share it."""
-    return tail_stats(samples)
+class AdminSocket:
+    """The admin plane's transport: one dual-protocol listening socket.
 
-
-class AdminServer:
-    """Answer operator queries about a :class:`MultiTenantService`.
-
-    ``stream`` (the :class:`~repro.server.ingest.NetworkEventStream`, when
-    the server ingests over sockets) enriches ``status``/``health`` with
-    listener and quarantine detail.  ``clock`` is injectable for tests
-    and must share a timebase with the service's metrics history (both
-    default to ``time.monotonic``).
+    Each accepted connection is served on its own daemon thread.  A
+    connection whose first byte is ``G``/``H`` gets one HTTP exchange
+    (``GET /metrics`` answers :meth:`render_metrics`); anything else is
+    a stream of length-prefixed JSON frames, each answered with
+    :meth:`handle`.  Subclasses supply those two methods and must set
+    up their own state *before* calling ``super().__init__``, which
+    starts accepting.  ``requests`` counts frames and HTTP exchanges,
+    ``http_requests`` the HTTP share, ``errors`` failed answers.
     """
 
-    def __init__(self, address: str, service: MultiTenantService, *,
-                 stream=None,
-                 extra_commands: dict[str, Callable[[dict], dict]]
-                 | None = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.service = service
-        self.stream = stream
-        #: Deployment-specific verbs (e.g. the shard fleet's
-        #: ``shard-split``) merged into dispatch -- the admin plane
-        #: stays ignorant of what registered them.
-        self.extra_commands = dict(extra_commands or {})
-        self._clock = clock
-        self._started = clock()
-        # Immutable fallback rate anchor: before the first boundary
-        # sample exists, events/s is the average since the plane opened.
-        self._cursor0 = service.cursor
+    def __init__(self, address: str, *, thread_name: str) -> None:
         self.requests = Counter()
         self.errors = Counter()
         self.http_requests = Counter()
@@ -98,15 +80,14 @@ class AdminServer:
         self._sock = create_listener(address)
         self.address = format_address(parse_address(address))
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="admin-accept", daemon=True)
+            target=self._accept_loop, name=thread_name, daemon=True)
         self._accept_thread.start()
 
-    @property
-    def history(self) -> MetricsHistory | None:
-        return self.service.metrics_history
+    def handle(self, request: dict) -> dict:
+        raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # plumbing
+    def render_metrics(self) -> str:
+        raise NotImplementedError
 
     def close(self) -> None:
         if self.closed:
@@ -117,7 +98,7 @@ class AdminServer:
         except OSError:
             pass
 
-    def __enter__(self) -> "AdminServer":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -227,6 +208,39 @@ class AdminServer:
             conn.sendall(header if head_only else header + payload)
         except OSError:
             pass  # scraper went away
+
+
+class AdminServer(AdminSocket):
+    """Answer operator queries about a :class:`MultiTenantService`.
+
+    ``stream`` (the :class:`~repro.server.ingest.NetworkEventStream`, when
+    the server ingests over sockets) enriches ``status``/``health`` with
+    listener and quarantine detail.  ``clock`` is injectable for tests
+    and must share a timebase with the service's metrics history (both
+    default to ``time.monotonic``).
+    """
+
+    def __init__(self, address: str, service: MultiTenantService, *,
+                 stream=None,
+                 extra_commands: dict[str, Callable[[dict], dict]]
+                 | None = None,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.service = service
+        self.stream = stream
+        #: Deployment-specific verbs (e.g. the shard fleet's
+        #: ``shard-split``) merged into dispatch -- the admin plane
+        #: stays ignorant of what registered them.
+        self.extra_commands = dict(extra_commands or {})
+        self._clock = clock
+        self._started = clock()
+        # Immutable fallback rate anchor: before the first boundary
+        # sample exists, events/s is the average since the plane opened.
+        self._cursor0 = service.cursor
+        super().__init__(address, thread_name="admin-accept")
+
+    @property
+    def history(self) -> MetricsHistory | None:
+        return self.service.metrics_history
 
     # ------------------------------------------------------------------
     # command dispatch

@@ -85,13 +85,12 @@ from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
 from ..stream.checkpoint import reports_from_jsonable
 from ..stream.events import EVENT_PUBLICATION, StreamEvent
 from ..vfs.file_meta import DAY_SECONDS
-from .admin import PROMETHEUS_CONTENT_TYPE, admin_request
+from .admin import PROMETHEUS_CONTENT_TYPE, AdminSocket, admin_request
 from .ingest import _END, DEFAULT_SOURCES, PublishRefused, SocketListener
-from .metrics import Counter, tail_stats
+from .metrics import Counter
 from .protocol import (BATCH_MAX_FRAME_BYTES, CAP_BATCH, CAP_ZLIB,
                        PROTOCOL_V2, FrameError, FrameReader, connect_socket,
-                       create_listener, encode_batch, encode_batch_frame,
-                       encode_event, format_address, parse_address,
+                       encode_batch, encode_batch_frame, encode_event,
                        write_frame)
 from .supervisor import BackoffPolicy, Supervisor
 
@@ -907,147 +906,26 @@ class ShardRouter:
 # the scatter/gather admin plane
 
 
-class FleetAdmin:
+class FleetAdmin(AdminSocket):
     """One admin socket for the whole fleet.
 
     Speaks the same dual protocol as a worker's
-    :class:`~repro.server.admin.AdminServer` (JSON frames + HTTP ``GET
-    /metrics``), but every read fans out to all worker admin planes in
-    parallel and merges.  Fleet-level invariants (``healthy`` only when
-    every shard answers healthy, events/s as the sum) live here; the
-    per-shard detail -- crucially the TARE-style trigger-latency and
-    per-tenant miss tails -- stays keyed by shard so a hot shard cannot
-    hide behind a fleet mean.
+    :class:`~repro.server.admin.AdminServer` (both ride the shared
+    :class:`~repro.server.admin.AdminSocket` transport), but every read
+    fans out to all worker admin planes in parallel and merges.
+    Fleet-level invariants (``healthy`` only when every shard answers
+    healthy, events/s as the sum) live here; the per-shard detail --
+    crucially the TARE-style trigger-latency and per-tenant miss tails
+    -- stays keyed by shard so a hot shard cannot hide behind a fleet
+    mean.
     """
 
     def __init__(self, address: str, fleet: "ShardFleet", *,
                  gather_timeout: float = 5.0) -> None:
         self.fleet = fleet
         self.gather_timeout = gather_timeout
-        self.requests = Counter()
-        self.errors = Counter()
-        self.http_requests = Counter()
-        self.closed = False
         self._started = time.monotonic()
-        self._sock = create_listener(address)
-        self.address = format_address(parse_address(address))
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="fleet-admin", daemon=True)
-        self._accept_thread.start()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "FleetAdmin":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- plumbing (mirrors AdminServer's dual-protocol socket) ----------
-
-    def _accept_loop(self) -> None:
-        while not self.closed:
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            try:
-                head = conn.recv(1, socket.MSG_PEEK)
-            except OSError:
-                return
-            if head in (b"G", b"H"):
-                self._serve_http(conn)
-                return
-            reader = FrameReader(conn)
-            try:
-                while True:
-                    try:
-                        request = reader.read()
-                    except FrameError as exc:
-                        write_frame(conn, {"ok": False,
-                                           "error": f"bad frame: {exc}"})
-                        return
-                    if request is None:
-                        return
-                    self.requests += 1
-                    try:
-                        response = self.handle(request)
-                    except Exception as exc:  # noqa: BLE001 -- must answer
-                        self.errors += 1
-                        response = {"ok": False,
-                                    "error": f"{type(exc).__name__}: {exc}"}
-                    write_frame(conn, response)
-            except OSError:
-                pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _serve_http(self, conn: socket.socket) -> None:
-        self.requests += 1
-        self.http_requests += 1
-        try:
-            conn.settimeout(10.0)
-            data = b""
-            while b"\r\n\r\n" not in data and b"\n\n" not in data:
-                chunk = conn.recv(4096)
-                if not chunk:
-                    break
-                data += chunk
-                if len(data) > 65536:
-                    break
-            line = data.split(b"\r\n", 1)[0].split(b"\n", 1)[0]
-            parts = line.decode("latin-1", "replace").split()
-            method = parts[0] if parts else ""
-            path = parts[1] if len(parts) > 1 else "/"
-            if method not in ("GET", "HEAD"):
-                self._http_response(conn, "405 Method Not Allowed",
-                                    "only GET is served here\n")
-                return
-            if path.split("?", 1)[0] != "/metrics":
-                self.errors += 1
-                self._http_response(conn, "404 Not Found",
-                                    "try GET /metrics\n")
-                return
-            body = self.render_metrics()
-            self._http_response(conn, "200 OK", body,
-                                content_type=PROMETHEUS_CONTENT_TYPE,
-                                head_only=(method == "HEAD"))
-        except Exception as exc:  # noqa: BLE001 -- must answer
-            self.errors += 1
-            try:
-                self._http_response(conn, "500 Internal Server Error",
-                                    f"{type(exc).__name__}: {exc}\n")
-            except OSError:
-                pass
-
-    @staticmethod
-    def _http_response(conn: socket.socket, status: str, body: str,
-                       content_type: str = "text/plain; charset=utf-8",
-                       head_only: bool = False) -> None:
-        payload = body.encode("utf-8")
-        header = (f"HTTP/1.0 {status}\r\n"
-                  f"Content-Type: {content_type}\r\n"
-                  f"Content-Length: {len(payload)}\r\n"
-                  f"Connection: close\r\n\r\n").encode("latin-1")
-        try:
-            conn.sendall(header if head_only else header + payload)
-        except OSError:
-            pass
+        super().__init__(address, thread_name="fleet-admin")
 
     # -- scatter/gather -------------------------------------------------
 

@@ -1,11 +1,13 @@
 """N retention policies over ONE event feed and ONE activeness state.
 
-:class:`MultiTenantService` is the multi-policy counterpart of
-:class:`~repro.stream.service.OnlineRetentionService`.  Each *tenant* is
-one policy configuration (FLT / ActiveDR / ValueBased / ScratchAsCache,
-with its own lifetime, purge target, trigger cadence and activeness
-period) making independent purge decisions over its own replica of the
-replay state.  Everything that does not depend on the policy is shared:
+:class:`MultiTenantService` is the streaming counterpart of the batch
+:class:`~repro.emulation.compiled.FastEmulator` and the only streaming
+engine: ``serve --policy X`` runs it with one tenant, ``serve --tenant
+...`` with several.  Each *tenant* is one policy configuration (FLT /
+ActiveDR / ValueBased / ScratchAsCache, with its own lifetime, purge
+target, trigger cadence and activeness period) making independent purge
+decisions over its own replica of the replay state.  Everything that
+does not depend on the policy is shared:
 
 * the event feed, cursor and day buffers (one merge, consumed once);
 * the :class:`~repro.stream.state.PathCatalog` (pids are positional
@@ -34,6 +36,19 @@ and the engine applies them at the next day boundary -- the only place
 the replay state is quiescent.  A new tenant clones the replay state of
 a donor tenant (its scratch *as that tenant retained it*) and
 participates from the admission boundary on.
+
+Boundary protocol
+-----------------
+The batch loop for day ``d`` runs *trigger (if due), then replay day d*.
+The engine mirrors that with boundaries ``B = 0 .. n_days``: boundary 0
+performs the initial activeness evaluation at ``replay_start``; boundary
+``B >= 1`` first flushes day ``B - 1``, then evaluates activeness at
+``t_c = replay_start + B * DAY`` and fires the purge trigger of every
+tenant due at ``B``.  An arriving access of day ``d`` forces boundaries
+through ``d`` first; an arriving activity at ``ts`` forces only
+boundaries strictly before ``ts`` (the batch evaluators clip
+``ts <= t_c`` inclusively).  :meth:`MultiTenantService.finalize` forces
+the remaining boundaries through ``n_days``.
 
 Checkpoints pack every tenant into one digest-verified link of the
 existing chain (format ``repro-server-checkpoint/1``): shared arrays
@@ -240,10 +255,23 @@ class MultiTenantService:
     """Streaming retention for a fleet of policies over one event feed.
 
     ``tenants`` is a sequence of ``(TenantSpec, RetentionPolicy)`` pairs
-    (build policies with :meth:`TenantSpec.build_policy`); the remaining
-    parameters mirror :class:`OnlineRetentionService`.  ``policy_factory``
-    builds policies for tenants added at runtime (it receives the new
-    tenant's spec); without one, runtime adds are refused.
+    (build policies with :meth:`TenantSpec.build_policy`).
+
+    snapshot_fs:
+        The initial scratch file system (read once, never mutated).
+    replay_start / replay_end:
+        The replay window; accesses outside it are counted and dropped,
+        exactly like batch compilation.  Activity events are *never*
+        window-clipped (history before the window informs activeness).
+    config / exemptions:
+        The replay knobs and reservation list of ``FastEmulator``.
+    checkpoint_dir / checkpoint_manager / checkpoint_every_days:
+        When set, a rolling atomic checkpoint is written after trigger
+        boundaries whose day is a multiple of ``checkpoint_every_days``.
+
+    ``policy_factory`` builds policies for tenants added at runtime (it
+    receives the new tenant's spec); without one, runtime adds are
+    refused.
     """
 
     def __init__(self, tenants: Sequence[tuple[TenantSpec, RetentionPolicy]],
@@ -611,9 +639,9 @@ class MultiTenantService:
     def ingest(self, event: StreamEvent) -> None:
         """Consume one merged event; may fire any number of boundaries."""
         kind = event.kind
-        # Counters bump only after boundaries fire, mirroring the
-        # single-tenant service: a checkpoint inside the cascade must
-        # not have counted the not-yet-consumed current event.
+        # Counters bump only after boundaries fire: a checkpoint inside
+        # the cascade must not have counted the not-yet-consumed current
+        # event, or a resumed run would count it twice.
         if kind == EVENT_ACCESS:
             rec = event.payload
             if self.replay_start <= rec.ts < self.window_end:
@@ -1268,11 +1296,6 @@ class MultiTenantService:
         ``skip_stream_items`` counts binary batch runs by row width).
         """
         manifest, arrays = load_checkpoint(checkpoint_path)
-        if manifest.get("format") != SERVER_CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"{checkpoint_path} is a {manifest.get('format')!r} "
-                f"checkpoint, not a multi-tenant server checkpoint "
-                f"(expected {SERVER_CHECKPOINT_FORMAT!r})")
         specs = [TenantSpec.from_jsonable(t["spec"])
                  for t in manifest["tenants"]]
         pairs = [(spec, policy_factory(spec)) for spec in specs]

@@ -1,19 +1,23 @@
-"""Online retention service: streaming ingestion, incremental state,
-crash-safe checkpoint/resume.
+"""Streaming building blocks: event feeds, incremental state,
+crash-safe checkpoints.
 
 The batch pipeline (``repro.emulation``) answers "what would this policy
-have done over this year of traces"; this package answers the production
-question -- "run the policy *now*, continuously, over live feeds" --
-while provably computing the same thing: the streaming service is pinned
+have done over this year of traces"; the streaming engine answers the
+production question -- "run the policy *now*, continuously, over live
+feeds" -- while provably computing the same thing.  This package holds
+what that engine consumes and persists: the merged event feeds (per
+event and columnar batches), the reliability layer (retries,
+quarantine, dead letters), the incremental activeness and replay state,
+and the self-verifying checkpoint chain.  The engine itself is
+:class:`repro.server.MultiTenantService` (one tenant per policy), pinned
 bit-identical to the batch ``FastEmulator`` across the full retention
 spectrum, including across a checkpoint / kill / resume cycle.
 """
 
 from .batch import (BatchBuilder, BatchRun, EventBatch, merge_stream_items,
                     skip_stream_items)
-from .checkpoint import (CHECKPOINT_FORMAT, CheckpointCorruption,
-                         CheckpointManager, atomic_write_npz,
-                         ingest_cursors, load_checkpoint,
+from .checkpoint import (CheckpointCorruption, CheckpointManager,
+                         atomic_write_npz, ingest_cursors, load_checkpoint,
                          verify_checkpoint)
 from .events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION, StreamEvent,
                      dataset_event_stream, merge_event_streams, skip_events,
@@ -21,7 +25,6 @@ from .events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION, StreamEvent,
 from .reliability import (DeadLetterLog, EventQuarantine,
                           ReliableEventStream, ResilientSource, RetryPolicy,
                           SourceHealth, TailingFileSource)
-from .service import OnlineRetentionService
 from .state import (GrowableReplayState, IncrementalActivenessState,
                     PathCatalog)
 
@@ -31,7 +34,6 @@ __all__ = [
     "EventBatch",
     "merge_stream_items",
     "skip_stream_items",
-    "CHECKPOINT_FORMAT",
     "CheckpointCorruption",
     "CheckpointManager",
     "atomic_write_npz",
@@ -53,7 +55,6 @@ __all__ = [
     "RetryPolicy",
     "SourceHealth",
     "TailingFileSource",
-    "OnlineRetentionService",
     "GrowableReplayState",
     "IncrementalActivenessState",
     "PathCatalog",

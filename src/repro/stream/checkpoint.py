@@ -55,24 +55,19 @@ from ..core.report import GroupTally, RetentionReport
 from ..emulation.metrics import DailyMetrics
 from ..traces.io import fsync_directory
 
-__all__ = ["CHECKPOINT_FORMAT", "SERVER_CHECKPOINT_FORMAT",
-           "CheckpointCorruption",
+__all__ = ["SERVER_CHECKPOINT_FORMAT", "CheckpointCorruption",
            "atomic_write_npz", "load_checkpoint", "verify_checkpoint",
            "reports_to_jsonable", "reports_from_jsonable",
            "metrics_to_arrays", "metrics_from_arrays",
            "activeness_to_arrays", "activeness_from_arrays",
            "ingest_cursors", "CheckpointManager"]
 
-CHECKPOINT_FORMAT = "repro-stream-checkpoint/2"
-
-#: The multi-tenant server checkpoint: same container (atomic npz link,
-#: per-array digests), different payload schema (shared arrays once,
-#: per-tenant arrays under a ``t<i>__`` prefix, a ``tenants`` manifest).
+#: The one checkpoint format: an atomic npz link with per-array
+#: digests, holding the streaming engine's shared arrays once and each
+#: tenant's arrays under a ``t<i>__`` prefix, plus a ``tenants``
+#: manifest.  The retired single-policy ``repro-stream-checkpoint/*``
+#: links are refused as unsupported.
 SERVER_CHECKPOINT_FORMAT = "repro-server-checkpoint/1"
-
-#: Formats this reader still accepts; /1 predates per-array digests.
-_ACCEPTED_FORMATS = (CHECKPOINT_FORMAT, "repro-stream-checkpoint/1",
-                     SERVER_CHECKPOINT_FORMAT)
 
 _MANIFEST_KEY = "__manifest__"
 _DIGESTS_KEY = "array_digests"
@@ -173,7 +168,7 @@ def load_checkpoint(path: str, verify: bool = True,
     if not isinstance(manifest, dict):
         raise CheckpointCorruption(
             path, "not a stream checkpoint (no manifest)")
-    if manifest.get("format") not in _ACCEPTED_FORMATS:
+    if manifest.get("format") != SERVER_CHECKPOINT_FORMAT:
         raise CheckpointCorruption(
             path, f"unsupported checkpoint format "
                   f"{manifest.get('format')!r}")
@@ -185,8 +180,8 @@ def load_checkpoint(path: str, verify: bool = True,
 def _verify_digests(path: str, manifest: Mapping[str, Any],
                     arrays: Mapping[str, np.ndarray]) -> None:
     digests = manifest.get(_DIGESTS_KEY)
-    if digests is None:
-        return  # format /1: no digests recorded; container CRC only
+    if not isinstance(digests, dict):
+        raise CheckpointCorruption(path, "manifest records no array digests")
     missing = sorted(set(digests) - set(arrays))
     if missing:
         raise CheckpointCorruption(

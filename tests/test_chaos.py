@@ -31,7 +31,7 @@ from repro.core import (ActiveDRPolicy, FixedLifetimePolicy,
                         ScratchAsCachePolicy, ValueBasedPolicy)
 from repro.emulation import FastEmulator, compile_dataset
 from repro.faults import FaultPlan, FaultyIO, corrupt_file
-from repro.stream import CheckpointManager, OnlineRetentionService
+from repro.stream import CheckpointManager
 from repro.stream.checkpoint import load_checkpoint
 from repro.stream.events import workspace_event_stream
 from repro.cli.workspace import load_workspace, save_workspace
@@ -146,10 +146,18 @@ def test_acceptance_faulty_resume_matches_batch(chaos_workspace,
 
 
 def _fresh_service(ws_dir, manager):
-    """The serve CLI's fresh-start construction, in process."""
+    """``serve --workspace WS --checkpoint-dir CK``'s fresh start, in
+    process: the CLI's one-tenant fleet, with its default
+    metrics-history ring under the checkpoint directory."""
+    from repro.cli.main import (_fleet_policy_factory, _fleet_tenant_specs,
+                                build_parser)
+    from repro.server import MetricsHistory, MultiTenantService
     from repro.traces import read_users
     from repro.vfs import load_filesystem
 
+    args = build_parser().parse_args(
+        ["serve", "--workspace", ws_dir,
+         "--checkpoint-dir", manager.directory])
     with open(os.path.join(ws_dir, "meta.json")) as fh:
         meta = json.load(fh)
     fs = load_filesystem(os.path.join(ws_dir, "snapshot"),
@@ -157,13 +165,19 @@ def _fresh_service(ws_dir, manager):
                          capacity_bytes=None)
     known = [u.uid for u in read_users(
         os.path.join(ws_dir, "users.txt.gz"))]
-    policy = ActiveDRPolicy(RetentionConfig(lifetime_days=90.0,
-                                            purge_target_utilization=0.5))
-    return OnlineRetentionService(
-        policy, snapshot_fs=fs,
+    factory = _fleet_policy_factory(ws_dir)
+    history = MetricsHistory(os.path.join(manager.directory,
+                                          "metrics-history.jsonl"))
+    return MultiTenantService(
+        [(spec, factory(spec)) for spec in _fleet_tenant_specs(args)],
+        snapshot_fs=fs,
         replay_start=int(meta["replay_start"]),
         replay_end=int(meta["replay_end"]),
-        known_uids=known, checkpoint_manager=manager)
+        known_uids=known,
+        checkpoint_every_days=args.checkpoint_every,
+        checkpoint_manager=manager,
+        policy_factory=factory,
+        metrics_history=history)
 
 
 def _checkpoint_write_bounds(ws_dir, probe_dir):
@@ -188,6 +202,7 @@ def _checkpoint_write_bounds(ws_dir, probe_dir):
                                                  "checkpoint"))
     service = _fresh_service(ws_dir, manager)
     service.run(workspace_event_stream(ws_dir))
+    service.metrics_history.close()
     return bounds
 
 
@@ -247,6 +262,7 @@ def test_gc_bound_holds_and_all_links_verify(chaos_workspace, tmp_path):
     manager = Auditor(str(tmp_path / "ck"), retain=3)
     service = _fresh_service(chaos_workspace, manager)
     result = service.run(workspace_event_stream(chaos_workspace))
+    service.metrics_history.close()
     assert result is not None
     assert service.stats["checkpoints_written"] >= 6
     assert violations == []

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.cli import load_workspace, main, save_workspace
@@ -209,3 +210,77 @@ def test_sweep_spectrum_columns(ws_dir, capsys):
     out = capsys.readouterr().out
     assert "ValueBased misses" in out
     assert "Cache misses" in out
+
+
+# ---------------------------------------------------------------- serve
+
+
+def test_serve_policy_writes_result_json_and_history(ws_dir, tmp_path,
+                                                      capsys):
+    # File-fed `serve --policy` is the one-tenant fleet: it honours
+    # --result-json and --metrics-history like every other serve mode,
+    # and still prints the bare `replay` summary after its status line.
+    from repro.cli.main import _result_to_jsonable
+    from repro.core import FixedLifetimePolicy, RetentionConfig
+    from repro.emulation import FastEmulator, compile_dataset
+    from repro.vfs import DAY_SECONDS
+
+    result_json = str(tmp_path / "result.json")
+    history = str(tmp_path / "history.jsonl")
+    assert main(["serve", "--workspace", ws_dir, "--policy", "flt",
+                 "--result-json", result_json,
+                 "--metrics-history", history]) == 0
+    served = capsys.readouterr().out
+    assert main(["replay", "--workspace", ws_dir, "--policy", "flt",
+                 "--engine", "fast"]) == 0
+    assert served.split("\n", 1)[1] == capsys.readouterr().out
+
+    ws = load_workspace(ws_dir)
+    config = RetentionConfig(lifetime_days=90.0,
+                             purge_target_utilization=0.5)
+    batch = FastEmulator(FixedLifetimePolicy(config), config.activeness).run(
+        compile_dataset(ws), known_uids=[u.uid for u in ws.users])
+    with open(result_json) as fh:
+        tenants = json.load(fh)["tenants"]
+    assert tenants == {"flt": json.loads(json.dumps(
+        _result_to_jsonable(batch)))}
+
+    with open(os.path.join(ws_dir, "meta.json")) as fh:
+        meta = json.load(fh)
+    n_days = -(-(meta["replay_end"] - meta["replay_start"]) // DAY_SECONDS)
+    with open(history) as fh:
+        boundaries = [json.loads(line)["boundary"] for line in fh]
+    assert boundaries == list(range(n_days + 1))
+
+
+def test_serve_resume_refuses_retired_stream_checkpoint(ws_dir, tmp_path,
+                                                        capsys):
+    # The single-policy stream checkpoint format is retired: a chain
+    # holding only such a link cannot be resumed (exit 3), and the
+    # refusal names the format.
+    from repro.stream import CheckpointManager
+
+    ck = str(tmp_path / "ck")
+    CheckpointManager(ck).save({"format": "repro-stream-checkpoint/2",
+                                "cursor": 10}, {"a": np.arange(3)})
+    assert main(["serve", "--workspace", ws_dir, "--policy", "activedr",
+                 "--checkpoint-dir", ck, "--resume"]) == 3
+    assert "repro-stream-checkpoint/2" in capsys.readouterr().err
+
+
+def test_serve_resume_refuses_declared_tenant_drift(ws_dir, tmp_path,
+                                                    capsys):
+    # The checkpoint holds the tenant set; a resuming command line that
+    # declares another policy, or the same tenant with other knobs, is
+    # pointed at the wrong chain and must not silently run the stored one.
+    ck = str(tmp_path / "ck")
+    base = ["serve", "--workspace", ws_dir, "--checkpoint-dir", ck]
+    assert main(base + ["--policy", "activedr",
+                        "--stop-after-events", "20000"]) == 0
+    capsys.readouterr()
+    for drifted in (["--policy", "flt"],
+                    ["--policy", "activedr", "--lifetime", "30"]):
+        assert main(base + drifted + ["--resume"]) == 3
+        assert "cannot resume" in capsys.readouterr().err
+    assert main(base + ["--policy", "activedr", "--resume"]) == 0
+    assert "resumed from" in capsys.readouterr().out

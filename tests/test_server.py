@@ -521,7 +521,8 @@ def test_resume_refuses_fingerprint_drift(dataset, events, tmp_path):
 
 
 def test_resume_refuses_partial_day_checkpoint(dataset, events, tmp_path):
-    service = make_fleet(dataset, HETERO[:1],
+    # The one-tenant case lives in tests/test_stream_service.py.
+    service = make_fleet(dataset, HETERO,
                          checkpoint_dir=str(tmp_path / "ck"))
     for ev in events:
         service.ingest(ev)

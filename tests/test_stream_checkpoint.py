@@ -13,7 +13,7 @@ from repro.core.report import GroupTally, RetentionReport
 from repro.emulation.metrics import DailyMetrics
 from repro.stream import atomic_write_npz, load_checkpoint
 from repro.stream.checkpoint import (
-    CHECKPOINT_FORMAT,
+    SERVER_CHECKPOINT_FORMAT,
     CheckpointCorruption,
     CheckpointManager,
     activeness_from_arrays,
@@ -27,7 +27,7 @@ from repro.stream.checkpoint import (
 
 
 def manifest(**extra):
-    base = {"format": CHECKPOINT_FORMAT, "cursor": 42}
+    base = {"format": SERVER_CHECKPOINT_FORMAT, "cursor": 42}
     base.update(extra)
     return base
 
@@ -183,6 +183,19 @@ def test_load_detects_missing_array(tmp_path):
         load_checkpoint(path)
     assert exc.value.array == "b"
     assert "missing" in exc.value.reason
+
+
+def test_load_refuses_manifest_without_digests(tmp_path):
+    # Every writer records per-array digests, so a manifest without
+    # them is damage (or a forgery), not an older format to wave past.
+    path = str(tmp_path / "ck.npz")
+    atomic_write_npz(path, manifest(), {"a": np.arange(4)})
+    loaded_manifest, arrays = load_checkpoint(path)
+    del loaded_manifest["array_digests"]
+    np.savez_compressed(path, a=arrays["a"], __manifest__=np.asarray(
+        json.dumps(loaded_manifest)))
+    with pytest.raises(CheckpointCorruption, match="digests"):
+        load_checkpoint(path)
 
 
 def test_manager_keeps_bounded_chain(tmp_path):

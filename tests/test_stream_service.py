@@ -1,6 +1,9 @@
-"""Streaming-equivalence suite: the online retention service must
-reproduce the batch FastEmulator bit for bit -- for every policy in the
-retention spectrum, and across a checkpoint / kill / resume cycle."""
+"""One-tenant streaming suite: ``serve --policy X`` runs the streaming
+engine (:class:`~repro.server.MultiTenantService`) with a single tenant,
+which must reproduce the batch FastEmulator bit for bit -- for every
+policy in the retention spectrum, every replay config variant, with
+exemptions, and across a checkpoint / kill / resume cycle.  The N-tenant
+fleet cases live in ``tests/test_server.py``."""
 
 from __future__ import annotations
 
@@ -8,27 +11,28 @@ import numpy as np
 import pytest
 
 from repro.core.activeness import ActivenessParams
-from repro.core.config import RetentionConfig
 from repro.core.exemption import ExemptionList
 from repro.core.incremental import build_activity_store
-from repro.core.retention import ActiveDRPolicy
 from repro.emulation import (
     CompiledTrace,
     EmulatorConfig,
     FastEmulator,
     compile_dataset,
-    replay_bounds,
 )
+from repro.server import MultiTenantService, TenantSpec
 from repro.stream import (
     CheckpointManager,
     IncrementalActivenessState,
-    OnlineRetentionService,
+    StreamEvent,
     dataset_event_stream,
     skip_events,
 )
 from repro.traces.schema import AppAccessRecord
 
 from test_compiled_replay import POLICIES, assert_results_equal
+from test_server import build_policy, make_fleet
+
+KINDS = [name for name, _ in POLICIES]
 
 
 @pytest.fixture(scope="module")
@@ -41,41 +45,35 @@ def compiled(dataset) -> CompiledTrace:
     return compile_dataset(dataset)
 
 
-def fast_result(dataset, compiled, policy_factory, emu_config, *,
-                config=None, exemptions=None):
-    config = config or RetentionConfig()
+def fast_result(dataset, compiled, spec, emu_config, *, exemptions=None):
     known = [u.uid for u in dataset.users]
-    return FastEmulator(policy_factory(config, dataset), config.activeness,
-                        emu_config, exemptions).run(compiled,
-                                                    known_uids=known)
+    return FastEmulator(build_policy(spec, dataset),
+                        spec.retention_config().activeness, emu_config,
+                        exemptions).run(compiled, known_uids=known)
 
 
-def make_service(dataset, policy_factory, emu_config, *, config=None,
-                 exemptions=None, checkpoint_dir=None,
-                 checkpoint_every_days=7):
-    config = config or RetentionConfig()
-    start, end = replay_bounds(dataset)
-    return OnlineRetentionService(
-        policy_factory(config, dataset),
-        snapshot_fs=dataset.filesystem,
-        replay_start=start, replay_end=end,
-        activeness_params=config.activeness,
-        config=emu_config, exemptions=exemptions,
-        known_uids=[u.uid for u in dataset.users],
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every_days=checkpoint_every_days)
+def make_service(dataset, spec, emu_config, **kwargs):
+    """The one-tenant fleet ``serve --policy`` builds."""
+    return make_fleet(dataset, [spec], config=emu_config, **kwargs)
 
 
-@pytest.mark.parametrize("policy_factory",
-                         [p for _, p in POLICIES],
-                         ids=[name for name, _ in POLICIES])
-def test_stream_matches_batch(dataset, compiled, policy_factory):
+def run_one(service, events):
+    results = service.run(events)
+    return None if results is None else results[service.tenants[0].name]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stream_matches_batch(dataset, compiled, kind):
+    spec = TenantSpec(name=kind, policy=kind)
     emu_config = EmulatorConfig()
-    service = make_service(dataset, policy_factory, emu_config)
-    streamed = service.run(dataset_event_stream(dataset))
-    batch = fast_result(dataset, compiled, policy_factory, emu_config)
+    service = make_service(dataset, spec, emu_config)
+    streamed = run_one(service, dataset_event_stream(dataset))
+    batch = fast_result(dataset, compiled, spec, emu_config)
     assert_results_equal(streamed, batch)
-    assert service.stats["triggers"] == len(streamed.reports)
+    triggers = service.tenants[0].stats["triggers"]
+    assert triggers == len(streamed.reports)
+    # One fold per trigger plus the initial classification.
+    assert service.stats["activeness_evals"] == triggers + 1
 
 
 @pytest.mark.parametrize("apply_creates", [True, False])
@@ -85,10 +83,10 @@ def test_stream_matches_batch_config_variants(dataset, compiled,
                                               restore_on_miss):
     emu_config = EmulatorConfig(apply_creates=apply_creates,
                                 restore_on_miss=restore_on_miss)
-    policy_factory = dict(POLICIES)["activedr"]
-    streamed = make_service(dataset, policy_factory, emu_config).run(
-        dataset_event_stream(dataset))
-    batch = fast_result(dataset, compiled, policy_factory, emu_config)
+    spec = TenantSpec(name="activedr", policy="activedr")
+    streamed = run_one(make_service(dataset, spec, emu_config),
+                       dataset_event_stream(dataset))
+    batch = fast_result(dataset, compiled, spec, emu_config)
     assert_results_equal(streamed, batch)
 
 
@@ -99,22 +97,23 @@ def test_stream_matches_batch_with_exemptions(dataset, compiled):
         exemptions.reserve_file(path)
     exemptions.reserve_directory(
         "/" + "/".join(paths[0].strip("/").split("/")[:2]))
-    for _, policy_factory in POLICIES[:3]:
-        streamed = make_service(dataset, policy_factory, EmulatorConfig(),
-                                exemptions=exemptions).run(
-            dataset_event_stream(dataset))
-        batch = fast_result(dataset, compiled, policy_factory,
-                            EmulatorConfig(), exemptions=exemptions)
+    for kind in KINDS[:3]:
+        spec = TenantSpec(name=kind, policy=kind)
+        streamed = run_one(make_service(dataset, spec, EmulatorConfig(),
+                                        exemptions=exemptions),
+                           dataset_event_stream(dataset))
+        batch = fast_result(dataset, compiled, spec, EmulatorConfig(),
+                            exemptions=exemptions)
         assert_results_equal(streamed, batch)
 
 
 def test_refold_is_incremental(dataset):
     # The O(delta) claim: most users are quiescent at any trigger, so
     # only a minority of user-type histories are ever refolded.
-    service = make_service(dataset, dict(POLICIES)["activedr"],
+    service = make_service(dataset, TenantSpec(name="activedr"),
                            EmulatorConfig())
     service.run(dataset_event_stream(dataset))
-    assert service.stats["triggers"] > 10
+    assert service.tenants[0].stats["triggers"] > 10
     assert service.stats["eval_users"] > 0
     refolded = service.stats["eval_refolded"]
     assert 0 < refolded < 0.5 * service.stats["eval_users"]
@@ -123,27 +122,25 @@ def test_refold_is_incremental(dataset):
 @pytest.mark.parametrize("policy_name", ["activedr", "value"])
 def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
                                                  tmp_path, policy_name):
-    policy_factory = dict(POLICIES)[policy_name]
+    spec = TenantSpec(name=policy_name, policy=policy_name)
     emu_config = EmulatorConfig()
     ckdir = str(tmp_path / policy_name)
     events = list(dataset_event_stream(dataset))
     kill_at = len(events) // 2
 
-    service = make_service(dataset, policy_factory, emu_config,
+    service = make_service(dataset, spec, emu_config,
                            checkpoint_dir=ckdir, checkpoint_every_days=7)
     assert service.run(iter(events), stop_after_events=kill_at) is None
 
     latest = CheckpointManager(ckdir).latest()
     assert latest is not None
-    config = RetentionConfig()
-    resumed = OnlineRetentionService.resume(
-        latest, policy_factory(config, dataset),
-        activeness_params=config.activeness, config=emu_config,
-        checkpoint_dir=ckdir)
+    resumed = MultiTenantService.resume(
+        latest, policy_factory=lambda s: build_policy(s, dataset),
+        config=emu_config, checkpoint_dir=ckdir)
     assert 0 < resumed.cursor <= kill_at
-    streamed = resumed.run(skip_events(iter(events), resumed.cursor))
+    streamed = run_one(resumed, skip_events(iter(events), resumed.cursor))
 
-    batch = fast_result(dataset, compiled, policy_factory, emu_config)
+    batch = fast_result(dataset, compiled, spec, emu_config)
     assert_results_equal(streamed, batch)
     # Counters continue across the kill: summed per-kind stats equal the
     # trace family sizes, with no double count of the redelivered event.
@@ -155,22 +152,27 @@ def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
 
 def test_resume_rejects_fingerprint_mismatch(dataset, tmp_path):
     ckdir = str(tmp_path / "ck")
-    service = make_service(dataset, dict(POLICIES)["activedr"],
+    service = make_service(dataset, TenantSpec(name="activedr"),
                            EmulatorConfig(), checkpoint_dir=ckdir)
     service.run(dataset_event_stream(dataset))
     latest = CheckpointManager(ckdir).latest()
-    other = ActiveDRPolicy(RetentionConfig(lifetime_days=7.0))
+    # The same spec rebuilt into a policy with another lifetime, and the
+    # stored spec replayed under another replay config: both refused.
     with pytest.raises(ValueError, match="fingerprint"):
-        OnlineRetentionService.resume(latest, other)
+        MultiTenantService.resume(
+            latest, policy_factory=lambda s: build_policy(
+                TenantSpec(name=s.name, lifetime_days=7.0), dataset))
+    with pytest.raises(ValueError, match="fingerprint"):
+        MultiTenantService.resume(
+            latest, policy_factory=lambda s: build_policy(s, dataset),
+            config=EmulatorConfig(restore_on_miss=True))
 
 
 def test_checkpoint_refuses_partial_day(dataset, tmp_path):
-    service = make_service(dataset, dict(POLICIES)["activedr"],
+    service = make_service(dataset, TenantSpec(name="activedr"),
                            EmulatorConfig(),
                            checkpoint_dir=str(tmp_path / "ck"))
-    start, _ = replay_bounds(dataset)
-    events = iter(dataset_event_stream(dataset))
-    for event in events:
+    for event in dataset_event_stream(dataset):
         service.ingest(event)
         if service._buf_pid:
             break
@@ -179,9 +181,8 @@ def test_checkpoint_refuses_partial_day(dataset, tmp_path):
 
 
 def test_out_of_window_accesses_are_dropped(dataset):
-    service = make_service(dataset, dict(POLICIES)["flt"],
+    service = make_service(dataset, TenantSpec(name="flt", policy="flt"),
                            EmulatorConfig())
-    from repro.stream import StreamEvent
     early = AppAccessRecord(ts=service.replay_start - 10, uid=1,
                             path="/proj/a/x")
     late = AppAccessRecord(ts=service.window_end + 10, uid=1,
@@ -189,14 +190,15 @@ def test_out_of_window_accesses_are_dropped(dataset):
     service.ingest(StreamEvent(early.ts, "access", early))
     service.ingest(StreamEvent(late.ts, "access", late))
     assert service.dropped_accesses == 2
+    assert service.stats["events_access"] == 2
     assert service.cursor == 2
 
 
 def test_service_rejects_empty_window(dataset):
-    config = RetentionConfig()
-    with pytest.raises(ValueError):
-        OnlineRetentionService(ActiveDRPolicy(config),
-                               replay_start=100, replay_end=100)
+    spec = TenantSpec(name="activedr")
+    with pytest.raises(ValueError, match="replay_end"):
+        MultiTenantService([(spec, build_policy(spec, dataset))],
+                           replay_start=100, replay_end=100)
 
 
 PARAM_VARIANTS = [
